@@ -5,7 +5,7 @@
 #include "base/panic.h"
 #include "metrics/kmetrics.h"
 #include "sched/event.h"
-#include "sync/deadlock.h"
+#include "sync/lock_event.h"
 
 namespace mach {
 
@@ -47,14 +47,14 @@ void* zone::take_locked() {
 }
 
 void* zone::alloc() {
-  const void* me = current_thread_token();
   simple_lock(&lock_);
   bool slept = false;
+  lock_event::wait_token wait;
   for (;;) {
     if (void* p = take_locked()) {
       if (slept) {
         --sleepers_now_;
-        wait_graph::instance().thread_wait_done(me, this);
+        lock_event::wait_end(wait);
       }
       simple_unlock(&lock_);
       kmet().kern_zalloc_allocs.inc();
@@ -65,7 +65,7 @@ void* zone::alloc() {
       ++sleeps_;
       ++sleepers_now_;
       kmet().kern_zalloc_sleeps.inc();
-      wait_graph::instance().thread_waits(me, this, name_);
+      wait = lock_event::wait_begin(lock_event::site::zone, this, name_);
     }
     // The canonical release-one-lock-and-wait pattern (paper sec. 6).
     thread_sleep(this, &lock_);

@@ -14,8 +14,6 @@ namespace mach::kmon {
 
 namespace detail {
 
-std::atomic<bool> g_enabled{false};
-
 unsigned way_index() noexcept {
   // Round-robin stripe assignment at first use: cheap, stable per thread,
   // and spreads concurrent writers across ways even when thread ids are
@@ -26,9 +24,6 @@ unsigned way_index() noexcept {
 }
 
 }  // namespace detail
-
-void enable() noexcept { detail::g_enabled.store(true, std::memory_order_relaxed); }
-void disable() noexcept { detail::g_enabled.store(false, std::memory_order_relaxed); }
 
 const char* to_string(metric_kind k) noexcept {
   switch (k) {

@@ -39,20 +39,20 @@
 
 #include "base/compiler.h"
 #include "base/stats.h"
+#include "sync/lock_event.h"
 
 namespace mach::kmon {
 
 namespace detail {
-extern std::atomic<bool> g_enabled;
 // The calling thread's stripe index in [0, num_ways).
 unsigned way_index() noexcept;
 }  // namespace detail
 
-// The global switch. enabled() is the update fast path: a single relaxed
-// load, so disabled metrics stay near-free.
-inline bool enabled() noexcept { return detail::g_enabled.load(std::memory_order_relaxed); }
-void enable() noexcept;
-void disable() noexcept;
+// The global switch: kmon's lock_event mask bit. enabled() is the update
+// fast path: a single relaxed load, so disabled metrics stay near-free.
+inline bool enabled() noexcept { return lock_event::subscribed(lock_event::k_mon); }
+inline void enable() noexcept { lock_event::set_subscribed(lock_event::k_mon, true); }
+inline void disable() noexcept { lock_event::set_subscribed(lock_event::k_mon, false); }
 
 enum class metric_kind { counter, gauge, histogram };
 const char* to_string(metric_kind k) noexcept;

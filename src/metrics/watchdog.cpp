@@ -31,12 +31,9 @@ const char* to_string(stall_kind k) noexcept {
   return "?";
 }
 
-namespace watchdog_detail {
-
-std::atomic<bool> g_armed{false};
-thread_local int t_wait_depth = 0;
-
 namespace {
+
+thread_local int t_wait_depth = 0;
 
 // The stall table: one seqlock-published slot per waiting thread. Writers
 // (the waiting threads) touch only their own slot; the monitor reads all
@@ -87,7 +84,7 @@ int claim_slot() {
 
 }  // namespace
 
-void note_wait_begin_slow(stall_kind k, const void* resource, const char* name) noexcept {
+void watchdog_note_wait_begin(stall_kind k, const void* resource, const char* name) noexcept {
   if (++t_wait_depth > 1) return;  // the outermost wait names the stall
   if (t_slot.idx < 0) t_slot.idx = claim_slot();
   if (t_slot.idx < 0) return;
@@ -102,7 +99,7 @@ void note_wait_begin_slow(stall_kind k, const void* resource, const char* name) 
   s.seq.store(q + 2, std::memory_order_release);
 }
 
-void note_wait_end_slow() noexcept {
+void watchdog_note_wait_end() noexcept {
   if (--t_wait_depth > 0) return;
   if (t_slot.idx < 0) return;
   stall_slot& s = g_stalls[t_slot.idx];
@@ -112,8 +109,6 @@ void note_wait_end_slow() noexcept {
   s.span.store(0, std::memory_order_relaxed);
   s.seq.store(q + 2, std::memory_order_release);
 }
-
-}  // namespace watchdog_detail
 
 namespace {
 
@@ -258,9 +253,8 @@ struct watchdog::impl {
   }
 
   void scan(std::map<int, std::uint64_t>& reported) {
-    using watchdog_detail::g_stalls;
     const std::uint64_t now = now_nanos();
-    for (int i = 0; i < watchdog_detail::k_stall_slots; ++i) {
+    for (int i = 0; i < k_stall_slots; ++i) {
       auto& s = g_stalls[i];
       const std::uint64_t q1 = s.seq.load(std::memory_order_acquire);
       if (q1 & 1) continue;  // owner mid-write
@@ -309,7 +303,7 @@ void watchdog::start(const watchdog_config& cfg) {
   if (s.running) return;
   s.cfg = cfg;
   s.stop.store(false);
-  watchdog_detail::g_armed.store(true, std::memory_order_relaxed);
+  lock_event::set_subscribed(lock_event::k_watchdog, true);
   s.thread = std::thread([&s] { s.loop(); });
   s.running = true;
 }
@@ -319,7 +313,7 @@ void watchdog::stop() {
   {
     std::lock_guard<std::mutex> g(s.m);
     if (!s.running) return;
-    watchdog_detail::g_armed.store(false, std::memory_order_relaxed);
+    lock_event::set_subscribed(lock_event::k_watchdog, false);
     s.stop.store(true);
   }
   s.thread.join();

@@ -22,10 +22,11 @@
 // on), the lockstat top table, and the recent ktrace tail (when tracing is
 // on) — then optionally panics.
 //
-// Cost model: hooks sit ONLY in wait slow paths (a contended acquisition,
-// an actual suspension); the uncontended fast paths are untouched. A
-// disarmed begin hook is one relaxed load; a disarmed end hook is one
-// thread-local read.
+// Cost model: the watchdog is a lock_event consumer (bit k_watchdog; see
+// sync/lock_event.h), fed only from wait slow paths (a contended
+// acquisition, an actual suspension). While it is stopped a wait costs the
+// stage's mask check; an entry a begin made is retired by its end even if
+// the watchdog stopped mid-wait.
 //
 // Enable programmatically (watchdog::instance().start(cfg)) or via the
 // environment through trace_session: MACHLOCK_WATCHDOG=1 with optional
@@ -33,7 +34,6 @@
 // MACHLOCK_WATCHDOG_PANIC=1. See docs/OBSERVABILITY.md.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -44,32 +44,12 @@ namespace mach {
 enum class stall_kind : int { none = 0, simple_spin, thread_blocked, writer_wait };
 const char* to_string(stall_kind k) noexcept;
 
-namespace watchdog_detail {
-extern std::atomic<bool> g_armed;
-extern thread_local int t_wait_depth;
-void note_wait_begin_slow(stall_kind k, const void* resource, const char* name) noexcept;
-void note_wait_end_slow() noexcept;
-}  // namespace watchdog_detail
-
-inline bool watchdog_armed() noexcept {
-  return watchdog_detail::g_armed.load(std::memory_order_relaxed);
-}
-
-// Publish "the current thread is now waiting on `resource`". Nested waits
-// (a starved writer that sleeps through the event system) keep the
-// outermost entry — it names the real stall.
-inline void watchdog_note_wait_begin(stall_kind k, const void* resource,
-                                     const char* name) noexcept {
-  if (!watchdog_armed()) [[likely]] return;
-  watchdog_detail::note_wait_begin_slow(k, resource, name);
-}
-
-// Retire the matching begin. Not gated on the armed flag so an entry made
-// while armed is cleared even if the watchdog stops mid-wait.
-inline void watchdog_note_wait_end() noexcept {
-  if (watchdog_detail::t_wait_depth == 0) [[likely]] return;
-  watchdog_detail::note_wait_end_slow();
-}
+// Publish "the current thread is now waiting on `resource`" / retire the
+// matching begin. Called only by the lock_event stage, while subscribed.
+// Nested waits (a starved writer that sleeps through the event system)
+// keep the outermost entry — it names the real stall.
+void watchdog_note_wait_begin(stall_kind k, const void* resource, const char* name) noexcept;
+void watchdog_note_wait_end() noexcept;
 
 struct watchdog_config {
   std::chrono::milliseconds poll{10};

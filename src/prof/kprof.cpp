@@ -9,10 +9,13 @@
 #include <thread>
 #include <unordered_map>
 
+#include "base/compiler.h"
 #include "base/stats.h"
 #include "metrics/kmon.h"
 #include "sync/deadlock.h"
+#include "sync/lock_event.h"
 #include "sync/lockstat.h"
+#include "trace/kspan.h"
 #include "trace/trace_export.h"
 
 namespace mach::kprof {
@@ -28,12 +31,20 @@ const char* to_string(activity a) noexcept {
   return "?";
 }
 
-namespace detail {
+namespace {
 
+// One thread's published slot. The owner writes `word` with plain relaxed
+// stores; the sampler reads all slots racily — a torn observation is
+// impossible (single 64-bit atomic) and a stale one is just the previous
+// instant's truth.
+struct alignas(cacheline_size) activity_slot {
+  std::atomic<const void*> token{nullptr};  // owner thread token; null = free
+  std::atomic<activity_word> word{0};
+};
+
+constexpr int k_slots = 256;
 activity_slot g_slots[k_slots];
 thread_local activity_slot* t_slot = nullptr;
-
-namespace {
 
 // Releases the slot at thread exit so the table recycles across the
 // short-lived kthreads the tests and benches spawn (the watchdog
@@ -50,8 +61,9 @@ struct slot_owner {
 };
 thread_local slot_owner t_owner;
 
-}  // namespace
-
+// Claim a slot for the calling thread (released at thread exit). When the
+// table is full the thread gets a private overflow slot: publishing stays
+// cheap, the thread just goes unsampled.
 activity_slot* claim_slot() noexcept {
   const void* me = current_thread_token();
   const std::size_t h = std::hash<const void*>{}(me);
@@ -71,7 +83,21 @@ activity_slot* claim_slot() noexcept {
   return t_slot;
 }
 
-}  // namespace detail
+activity_slot& self_slot() noexcept { return t_slot != nullptr ? *t_slot : *claim_slot(); }
+
+}  // namespace
+
+void publish(activity a, const void* subject) noexcept {
+  self_slot().word.store(pack(a, subject, kspan::current() != 0), std::memory_order_relaxed);
+}
+
+activity_word self_word() noexcept {
+  return t_slot == nullptr ? 0 : t_slot->word.load(std::memory_order_relaxed);
+}
+
+void publish_word(activity_word w) noexcept {
+  self_slot().word.store(w, std::memory_order_relaxed);
+}
 
 namespace {
 
@@ -108,8 +134,8 @@ std::unordered_map<std::uint64_t, const char*> live_lock_addresses() {
 
 thread_activity activity_for(const void* token) noexcept {
   thread_activity out;
-  for (int i = 0; i < detail::k_slots; ++i) {
-    detail::activity_slot& s = detail::g_slots[i];
+  for (int i = 0; i < k_slots; ++i) {
+    activity_slot& s = g_slots[i];
     if (s.token.load(std::memory_order_acquire) != token) continue;
     const activity_word w = s.word.load(std::memory_order_relaxed);
     out.found = true;
@@ -187,8 +213,8 @@ struct sampler::impl {
       std::lock_guard<std::mutex> g(m);
       ++ticks;
       duration_nanos = now - start;
-      for (int i = 0; i < detail::k_slots; ++i) {
-        detail::activity_slot& s = detail::g_slots[i];
+      for (int i = 0; i < k_slots; ++i) {
+        activity_slot& s = g_slots[i];
         if (s.token.load(std::memory_order_acquire) == nullptr) continue;
         const activity_word w = s.word.load(std::memory_order_relaxed);
         cell& c = agg[w];
@@ -227,6 +253,7 @@ void sampler::start(double hz, std::chrono::milliseconds flight_interval) {
   s.hz = hz;
   s.flight_interval_nanos = flight_every;
   s.stop.store(false);
+  lock_event::set_subscribed(lock_event::k_prof, true);
   s.thread = std::thread([&s, tick, flight_every] { s.loop(tick, flight_every); });
   s.running = true;
 }
@@ -236,6 +263,7 @@ void sampler::stop() {
   {
     std::lock_guard<std::mutex> g(s.m);
     if (!s.running) return;
+    lock_event::set_subscribed(lock_event::k_prof, false);
     s.stop.store(true);
   }
   s.thread.join();

@@ -6,14 +6,14 @@
 // wall-clock instant. kprof supplies that missing modality with the
 // classic two halves of a sampling profiler:
 //
-//   * every kthread continuously PUBLISHES a single 64-bit *activity
-//     word* — {state, subject, request flag} packed into one atomic slot —
-//     with plain relaxed stores at the wait/hold transitions that already
-//     exist (simple-lock slow path, complex-lock wait/acquire/release,
-//     thread_block suspension). Publishing is always on; the cost is one
-//     store to the thread's own cacheline-padded slot, paid only on slow
-//     paths plus complex-lock acquire/release (see docs/OBSERVABILITY.md
-//     for measured numbers);
+//   * every kthread PUBLISHES a single 64-bit *activity word* — {state,
+//     subject, request flag} packed into one atomic slot — with plain
+//     relaxed stores at the wait/hold transitions (simple-lock slow path,
+//     complex-lock wait/acquire/release, thread_block suspension). The
+//     lock_event stage feeds them while the sampler or the watchdog runs
+//     (mask bit k_prof; see sync/lock_event.h); otherwise a transition
+//     costs only the stage's mask check. A wait already in progress when
+//     the sampler starts samples as whatever its thread last published;
 //   * an optional SAMPLER thread walks the slot table at a configured
 //     rate, accumulating weighted samples into per-(state, site) profiles,
 //     and keeps a *flight recorder* ring of periodic kmon counter/gauge
@@ -53,9 +53,6 @@
 #include <string>
 #include <vector>
 
-#include "base/compiler.h"
-#include "trace/kspan.h"
-
 namespace mach::kprof {
 
 enum class activity : std::uint8_t {
@@ -84,50 +81,17 @@ inline activity unpack_state(activity_word w) noexcept {
 inline bool unpack_request(activity_word w) noexcept { return (w & k_request_bit) != 0; }
 inline std::uint64_t unpack_subject(activity_word w) noexcept { return w & k_subject_mask; }
 
-namespace detail {
-
-// One thread's published slot. The owner writes `word` with plain relaxed
-// stores; the sampler reads all slots racily — a torn observation is
-// impossible (single 64-bit atomic) and a stale one is just the previous
-// instant's truth.
-struct alignas(cacheline_size) activity_slot {
-  std::atomic<const void*> token{nullptr};  // owner thread token; null = free
-  std::atomic<activity_word> word{0};
-};
-
-inline constexpr int k_slots = 256;
-extern activity_slot g_slots[k_slots];
-extern thread_local activity_slot* t_slot;
-
-// Claim a slot for the calling thread (releasing it at thread exit) and
-// return it. When the table is full the thread gets a private overflow
-// slot: publishing stays cheap, the thread just goes unsampled.
-activity_slot* claim_slot() noexcept;
-
-}  // namespace detail
-
-// Publish the calling thread's activity: one relaxed store (plus a
-// once-per-thread slot claim). Always on — the sampler decides whether
-// anyone is reading.
-inline void publish(activity a, const void* subject) noexcept {
-  detail::activity_slot* s = detail::t_slot;
-  if (s == nullptr) [[unlikely]] s = detail::claim_slot();
-  s->word.store(pack(a, subject, kspan::current() != 0), std::memory_order_relaxed);
-}
+// Publish the calling thread's activity: one relaxed store to its slot
+// (plus a once-per-thread slot claim). Called by the lock_event stage, and
+// by kthread to claim a slot at thread start.
+void publish(activity a, const void* subject) noexcept;
 
 // The calling thread's current packed word (0 when nothing published) /
-// raw republish — the save/restore pair the nested instrumentation points
-// use (a complex-lock wait that blocks through the event system restores
-// the lock attribution when the inner block ends).
-inline activity_word self_word() noexcept {
-  detail::activity_slot* s = detail::t_slot;
-  return s == nullptr ? 0 : s->word.load(std::memory_order_relaxed);
-}
-inline void publish_word(activity_word w) noexcept {
-  detail::activity_slot* s = detail::t_slot;
-  if (s == nullptr) [[unlikely]] s = detail::claim_slot();
-  s->word.store(w, std::memory_order_relaxed);
-}
+// raw republish — the save/restore pair nested waits use (a complex-lock
+// wait that blocks through the event system restores the lock attribution
+// when the inner block ends).
+activity_word self_word() noexcept;
+void publish_word(activity_word w) noexcept;
 
 // Decoded activity of a thread by token (for the watchdog trip reports).
 // `found` is false when the thread never published. `site` resolves the

@@ -9,9 +9,7 @@
 
 #include "base/panic.h"
 #include "metrics/kmetrics.h"
-#include "metrics/watchdog.h"
-#include "prof/kprof.h"
-#include "trace/kspan.h"
+#include "sync/lock_event.h"
 #include "trace/ktrace.h"
 
 namespace mach {
@@ -36,29 +34,6 @@ std::atomic<std::uint64_t> g_blocks_suspended{0};
 std::atomic<std::uint64_t> g_blocks_short_circuited{0};
 std::atomic<std::uint64_t> g_wakeups_delivered{0};
 std::atomic<std::uint64_t> g_wakeups_no_waiter{0};
-
-// Publishes "this thread is suspended" to the stall watchdog; the dtor
-// covers every return path out of block(), including timeout bookkeeping.
-struct watchdog_blocked_scope {
-  explicit watchdog_blocked_scope(const void* ev) {
-    watchdog_note_wait_begin(stall_kind::thread_blocked, ev, "event-wait");
-  }
-  ~watchdog_blocked_scope() { watchdog_note_wait_end(); }
-};
-
-// kprof: samples of a suspended thread attribute to the event it sleeps
-// on — UNLESS an outer instrumentation point already attributed the wait
-// (a complex-lock sleep publishes lock_waiting before blocking; naming
-// the lock beats naming the lock's event address).
-struct kprof_blocked_scope {
-  kprof::activity_word prev;
-  explicit kprof_blocked_scope(const void* ev) : prev(kprof::self_word()) {
-    if (kprof::unpack_state(prev) != kprof::activity::lock_waiting) {
-      kprof::publish(kprof::activity::blocked, ev);
-    }
-  }
-  ~kprof_blocked_scope() { kprof::publish_word(prev); }
-};
 
 }  // namespace
 
@@ -113,47 +88,29 @@ struct event_system {
       std::this_thread::yield();
       return wait_result::not_waiting;
     }
-    // Trace the blocked interval (from here to wakeup consumption); a
+    // The blocked interval runs from here to wakeup consumption; a
     // short-circuited block shows as a ~0-length span, which is itself
     // informative (the paper's non-blocking context switch).
-    const std::uint64_t t_block = (ktrace::enabled() || kmon::enabled()) ? now_nanos() : 0;
-    const auto traced_event = reinterpret_cast<std::uint64_t>(t.wait_event_.load());
-    auto traced = [&](wait_result r) {
-      if (t_block != 0) {
-        const std::uint64_t end = now_nanos();
-        if (ktrace::enabled()) {
-          ktrace::emit_span(trace_kind::thread_blocked, nullptr, traced_event, end - t_block, end);
-        }
-        kmet().sched_block_nanos.record(end - t_block);
-      }
-      // Consume the wait-for edge the waker left behind (deliver()): the
-      // trace then records that THIS thread's block was ended by a wakeup
-      // issued under the waker's span — the blocking-handoff half of
-      // kspan's cross-thread propagation.
-      if (kspan::enabled()) {
-        const std::uint64_t waker = t.wake_span_ctx_.exchange(0, std::memory_order_relaxed);
-        if (waker != 0 && r == wait_result::awakened) {
-          ktrace::emit(trace_kind::span_unblock, nullptr, waker, traced_event);
-        }
-      }
+    const lock_event::wait_token blocked =
+        lock_event::thread_blocked(t.wait_event_.load(), t.wake_span_ctx_);
+    auto unblocked = [&](wait_result r) {
+      lock_event::wait_end(blocked);
       return r;
     };
     if (t.wakeup_pending_) {
       // Event occurred between assert_wait and here: non-blocking switch.
       g_blocks_short_circuited.fetch_add(1, std::memory_order_relaxed);
       kmet().sched_blocks_short_circuited.inc();
-      return traced(consume_locked(t));
+      return unblocked(consume_locked(t));
     }
     g_blocks_suspended.fetch_add(1, std::memory_order_relaxed);
     kmet().sched_blocks.inc();
-    const watchdog_blocked_scope wd_scope(t.wait_event_.load());
-    const kprof_blocked_scope prof_scope(t.wait_event_.load());
     if (timeout == nullptr) {
       t.wait_cv_.wait(g, [&t] { return t.wakeup_pending_; });
-      return traced(consume_locked(t));
+      return unblocked(consume_locked(t));
     }
     if (t.wait_cv_.wait_for(g, *timeout, [&t] { return t.wakeup_pending_; })) {
-      return traced(consume_locked(t));
+      return unblocked(consume_locked(t));
     }
     // Timed out: remove ourselves from the queue, racing against wakers.
     event_t e = t.wait_event_;
@@ -164,13 +121,13 @@ struct event_system {
       t.wait_asserted_ = false;
       t.wait_event_ = nullptr;
       t.wakeup_pending_ = false;
-      return traced(wait_result::timed_out);
+      return unblocked(wait_result::timed_out);
     }
     // A waker dequeued us concurrently; its wakeup is (about to be)
     // delivered. Honor it.
     g.lock();
     t.wait_cv_.wait(g, [&t] { return t.wakeup_pending_; });
-    return traced(consume_locked(t));
+    return unblocked(consume_locked(t));
   }
 
   static wait_result consume_locked(kthread& t) {
@@ -181,14 +138,12 @@ struct event_system {
   }
 
   static void deliver(kthread* t, wait_result r) {
-    {
-      std::lock_guard<std::mutex> g(t->wait_mutex_);
-      t->wakeup_pending_ = true;
-      t->wakeup_result_ = r;
-      if (kspan::enabled()) {
-        t->wake_span_ctx_.store(kspan::current(), std::memory_order_relaxed);
-      }
-    }
+    // Notify under the mutex: once it is released the woken thread may
+    // return, exit and be destroyed, taking wait_cv_ with it.
+    std::lock_guard<std::mutex> g(t->wait_mutex_);
+    t->wakeup_pending_ = true;
+    t->wakeup_result_ = r;
+    if (r == wait_result::awakened) lock_event::thread_unblocked(t->wake_span_ctx_);
     t->wait_cv_.notify_all();
   }
 

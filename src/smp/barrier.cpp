@@ -6,10 +6,12 @@
 #include "base/backoff.h"
 #include "base/panic.h"
 #include "metrics/kmetrics.h"
-#include "sync/deadlock.h"
+#include "sync/lock_event.h"
 #include "trace/ktrace.h"
 
 namespace mach {
+
+using lock_event::site;
 
 interrupt_barrier::interrupt_barrier(const char* name) : name_(name) {}
 
@@ -26,25 +28,27 @@ void interrupt_barrier::isr(virtual_cpu& cpu) {
   // completes, every participant that entered has already applied its
   // updates (it is parked in the ISR and cannot use stale state anyway).
   if (on_interrupt_) on_interrupt_(cpu);
-  if (round_active_.load() && (needed_.load() & bit) != 0 &&
+  if (phase_.load() == gathering && (needed_.load() & bit) != 0 &&
       (entered_.load() & bit) == 0) {
+    // generation_ is written before phase_ at round start, so having
+    // observed an open round we read its generation (or a later one, in
+    // which case our round is over).
+    const std::uint64_t my_round = generation_.load();
     entered_.fetch_or(bit);
     kmet().smp_barrier_isr_parks.inc();
-    // generation_ is written before round_active_ at round start, so
-    // having observed round_active_ == true we read our own round's
-    // generation (or a later one, in which case our round is over).
-    const std::uint64_t my_round = generation_.load();
+    // Our entry obligation is met: drop it before waiting on the release,
+    // so the initiator's wait on our entry and our wait on its release
+    // never coexist as a (false) cycle in the wait graph.
+    lock_event::hold_released(site::barrier, &entry_slot_[cpu.id()], cpu.bound_token(),
+                              "barrier-entry");
     // Spin *inside the ISR* until the initiator releases — the barrier
     // property: nobody leaves before everybody (that must) has entered.
-    const void* me = current_thread_token();
     const std::uint64_t isr_start = ktrace::enabled() ? now_nanos() : 0;
-    wait_graph::instance().thread_waits(me, &release_slot_,
-                                        "barrier-release");
+    const lock_event::wait_token release_wait =
+        lock_event::wait_begin(site::barrier, &release_slot_, "barrier-release");
     backoff bo;
-    while (generation_.load() == my_round && !released_.load() && !aborted_.load()) {
-      bo.pause();
-    }
-    wait_graph::instance().thread_wait_done(me, &release_slot_);
+    while (generation_.load() == my_round && !decided(phase_.load())) bo.pause();
+    lock_event::wait_end(release_wait);
     if (isr_start != 0) {
       // The time this CPU was parked at interrupt level — the per-CPU
       // cost of the paper's "costly operation".
@@ -64,7 +68,6 @@ interrupt_barrier::status interrupt_barrier::run(std::uint32_t participant_mask,
   MACH_ASSERT(vector_ >= 0, "interrupt_barrier::run before attach");
   machine& m = machine::instance();
   const void* me = current_thread_token();
-  wait_graph& graph = wait_graph::instance();
 
   // The initiator cannot take its own IPI while spinning at the vector's
   // level; it participates implicitly.
@@ -76,33 +79,25 @@ interrupt_barrier::status interrupt_barrier::run(std::uint32_t participant_mask,
   const std::uint64_t round_start = ktrace::enabled() ? now_nanos() : 0;
   generation_.fetch_add(1);   // unwedges stragglers from the previous round
   entered_.store(0);
-  released_.store(false);
-  aborted_.store(false);
   needed_.store(others);
-  round_active_.store(true);
 
-  // Deadlock-detector bookkeeping: each missing participant's entry is a
-  // resource held by whatever thread is bound to that CPU.
-  graph.resource_held(&release_slot_, me, "barrier-release");
+  // Deadlock-detector bookkeeping: each participant's entry is a resource
+  // held by whatever thread is bound to its CPU until the participant
+  // enters. Registered before the round opens, so it precedes the drop.
+  lock_event::hold_acquired(site::barrier, &release_slot_, me, "barrier-release");
+  const void* owners[k_max_cpus] = {};
+  lock_event::wait_token entry_waits[k_max_cpus];
   std::uint32_t tracked = 0;
   for (int i = 0; i < m.ncpus(); ++i) {
     const std::uint32_t bit = 1u << i;
     if ((others & bit) == 0) continue;
-    const void* owner = m.cpu(i).bound_token();
-    if (owner == nullptr) continue;  // unbound CPU: nothing to attribute
-    graph.resource_held(&entry_slot_[i], owner,
-                        "barrier-entry");
-    graph.thread_waits(me, &entry_slot_[i], "barrier-entry");
+    owners[i] = m.cpu(i).bound_token();
+    if (owners[i] == nullptr) continue;  // unbound CPU: nothing to attribute
+    lock_event::hold_acquired(site::barrier, &entry_slot_[i], owners[i], "barrier-entry");
+    entry_waits[i] = lock_event::wait_begin(site::barrier, &entry_slot_[i], "barrier-entry");
     tracked |= bit;
   }
-  auto untrack = [&](std::uint32_t bits) {
-    for (int i = 0; i < m.ncpus(); ++i) {
-      const std::uint32_t bit = 1u << i;
-      if ((bits & bit) == 0) continue;
-      graph.thread_wait_done(me, &entry_slot_[i]);
-      graph.resource_released(&entry_slot_[i], m.cpu(i).bound_token());
-    }
-  };
+  phase_.store(gathering);
 
   // Post the IPIs with our own spl raised to the barrier level (the
   // paper's shootdown initiator runs the whole round at interrupt level).
@@ -111,41 +106,46 @@ interrupt_barrier::status interrupt_barrier::run(std::uint32_t participant_mask,
     if ((others & (1u << i)) != 0) m.post_ipi(i, vector_);
   }
 
+  // The outcome is decided exactly once: this loop commits the round when
+  // every participant is in, unless an abort or the timeout ended it
+  // first. Whichever moves phase_ out of `gathering` first wins.
   status result = status::ok;
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   backoff bo;
-  std::uint32_t seen = 0;
-  while ((entered_.load() & others) != others) {
-    const std::uint32_t now_in = entered_.load() & others & ~seen & tracked;
-    if (now_in != 0) {
-      untrack(now_in);
-      seen |= now_in;
+  for (;;) {
+    int expected = gathering;
+    if ((entered_.load() & others) == others) {
+      if (!phase_.compare_exchange_strong(expected, committed)) result = status::aborted;
+      break;
     }
-    if (aborted_.load()) {
+    if (phase_.load() == aborted) {
       result = status::aborted;
       break;
     }
     if (std::chrono::steady_clock::now() >= deadline) {
-      aborted_.store(true);
-      result = status::timed_out;
+      result = phase_.compare_exchange_strong(expected, aborted) ? status::timed_out
+                                                                  : status::aborted;
       break;
     }
     machine::interrupt_point();  // still accept higher-priority interrupts
     bo.pause();
   }
-  untrack(tracked & ~seen);
+  for (int i = 0; i < m.ncpus(); ++i) {
+    if ((tracked & (1u << i)) == 0) continue;
+    lock_event::wait_end(entry_waits[i]);
+    lock_event::hold_released(site::barrier, &entry_slot_[i], owners[i], "barrier-entry");
+  }
 
   if (result == status::ok) {
-    update();
-    released_.store(true);
+    update();  // every participant is parked until the release below
+    phase_.store(released);
     rounds_ok_.fetch_add(1, std::memory_order_relaxed);
     kmet().smp_barrier_rounds.inc();
   } else {
     rounds_failed_.fetch_add(1, std::memory_order_relaxed);
     kmet().smp_barrier_rounds_failed.inc();
   }
-  graph.resource_released(&release_slot_, me);
-  round_active_.store(false);
+  lock_event::hold_released(site::barrier, &release_slot_, me, "barrier-release");
   if (round_start != 0) {
     const std::uint64_t end = now_nanos();
     ktrace::emit_span(trace_kind::barrier_round, name_,

@@ -60,8 +60,13 @@ class interrupt_barrier {
              std::chrono::milliseconds timeout = std::chrono::milliseconds(1000));
 
   // External escape hatch: abort the in-flight round (used after the
-  // deadlock detector has reported the cycle).
-  void abort_current() noexcept { aborted_.store(true); }
+  // deadlock detector has reported the cycle). A no-op once the round is
+  // committed (every participant entered) or over: a round is either
+  // aborted before any participant leaves, or completes for all of them.
+  void abort_current() noexcept {
+    int expected = gathering;
+    phase_.compare_exchange_strong(expected, aborted);
+  }
 
   std::uint64_t rounds_ok() const noexcept { return rounds_ok_.load(std::memory_order_relaxed); }
   std::uint64_t rounds_failed() const noexcept {
@@ -69,6 +74,14 @@ class interrupt_barrier {
   }
 
  private:
+  // A round opens in `gathering` and leaves it exactly once: to
+  // `committed` (all in; the update runs, then `released`) or to `aborted`
+  // (abort_current or timeout). Participants leave once it is decided.
+  enum phase : int { idle, gathering, committed, released, aborted };
+  static bool decided(int p) noexcept { return p == released || p == aborted; }
+
+  static constexpr int k_max_cpus = 32;  // participant masks are 32 bits
+
   void isr(virtual_cpu& cpu);
 
   const char* name_;
@@ -77,24 +90,22 @@ class interrupt_barrier {
   std::function<void(virtual_cpu&)> on_interrupt_;
 
   simple_lock_data_t round_lock_{"barrier-round", /*track=*/false};
-  std::atomic<bool> round_active_{false};
+  std::atomic<int> phase_{idle};
   // Round generation: bumped at every round start. A participant that has
   // not yet observed its round's release when the NEXT round begins would
-  // otherwise spin on the new round's (reset) release flag forever — at
+  // otherwise spin on the new round's (reopened) phase forever — at
   // interrupt level, where it cannot take the new round's IPI. A change of
   // generation implies its round already released or aborted, so it may
   // leave.
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<std::uint32_t> needed_{0};
   std::atomic<std::uint32_t> entered_{0};
-  std::atomic<bool> released_{false};
-  std::atomic<bool> aborted_{false};
   std::atomic<std::uint64_t> rounds_ok_{0};
   std::atomic<std::uint64_t> rounds_failed_{0};
 
   // Wait-graph resource addresses: one entry obligation per CPU plus the
   // release the participants spin on.
-  char entry_slot_[32] = {};
+  char entry_slot_[k_max_cpus] = {};
   char release_slot_ = 0;
 };
 

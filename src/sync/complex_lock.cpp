@@ -2,83 +2,52 @@
 
 #include "base/backoff.h"
 #include "base/panic.h"
-#include "metrics/watchdog.h"
-#include "prof/kprof.h"
 #include "sched/event.h"
-#include "sync/deadlock.h"
-#include "trace/kspan.h"
-#include "trace/ktrace.h"
 
 namespace mach {
 namespace {
 
-// --- hold/wait-time profiling (ktrace-gated; interlock held) ---
+using lock_event::site;
 
-// Stamp the start of a wait the first time a wait loop iterates.
-inline std::uint64_t wait_stamp(std::uint64_t current) {
-  if (current != 0) return current;
-  return ktrace::enabled() ? now_nanos() : 0;
-}
+// One acquisition's waits for the lock state to change, reported as a
+// single lock_event wait (one wait span, one stall-table entry) begun the
+// first time the caller has to wait. Interlock held on entry and exit.
+class lock_waiter {
+ public:
+  lock_waiter(lock_t l, site k) : l_(l), kind_(k) {}
 
-// Annotate the active request span (if any) with the complex lock the
-// caller is about to wait on and the write holder blocking it (null when
-// the lock is held by readers). Interlock held; emit does not block.
-inline void span_note_wait(lock_t l) {
-  kspan::note_blocked(l->name, l, l->write_holder);
-}
-
-// Close a wait span opened by wait_stamp: feed the per-lock histogram and
-// emit the trace record. `kind` distinguishes read/write/upgrade waits.
-inline void wait_finish(lock_t l, std::uint64_t start, trace_kind kind) {
-  if (start == 0 || !ktrace::enabled()) return;
-  const std::uint64_t end = now_nanos();
-  const std::uint64_t wait = end - start;
-  l->wait_hist.record(wait);
-  ktrace::emit_span(kind, l->name, reinterpret_cast<std::uint64_t>(l), wait, end);
-}
-
-// Begin / end write-side hold timing (upgrade holds included). Recursive
-// nested acquisitions keep the outermost stamp.
-inline void hold_begin(lock_t l) {
-  l->write_acquire_nanos = ktrace::enabled() ? now_nanos() : 0;
-}
-
-inline void hold_finish(lock_t l) {
-  if (l->write_acquire_nanos == 0) return;
-  const std::uint64_t end = now_nanos();
-  const std::uint64_t hold = end - l->write_acquire_nanos;
-  l->write_acquire_nanos = 0;
-  l->hold_hist.record(hold);
-  ktrace::emit_span(trace_kind::complex_write_held, l->name,
-                    reinterpret_cast<std::uint64_t>(l), hold, end);
-}
-
-// Wait for the lock state to change. Interlock held on entry and exit.
-// Sleep mode blocks through the event system (the lock's own address is
-// the event, as in Mach's kern/lock.c); spin mode releases the interlock,
-// backs off, and reacquires.
-void lock_wait(lock_t l, backoff& bo, bool force_sleep = false) {
-  // kprof: the whole wait — sleeping through the event system or spinning
-  // in backoff — samples as waiting on THIS lock. The inner thread_block
-  // and interlock spins save/restore around their own publishes, so the
-  // attribution survives nesting.
-  const kprof::activity_word prev_activity = kprof::self_word();
-  kprof::publish(kprof::activity::lock_waiting, l->name);
-  if (l->can_sleep || force_sleep) {
-    l->waiting = true;
-    ++l->stats.sleeps;
-    assert_wait(l);
-    simple_unlock(&l->interlock);
-    thread_block();
-    simple_lock(&l->interlock);
-  } else {
-    ++l->stats.spins;
-    simple_unlock(&l->interlock);
-    bo.pause();
-    simple_lock(&l->interlock);
+  // Sleep mode blocks through the event system (the lock's own address is
+  // the event, as in Mach's kern/lock.c); spin mode releases the
+  // interlock, backs off, and reacquires.
+  void wait(bool force_sleep = false) {
+    if (!waited_) {
+      waited_ = true;
+      token_ = lock_event::wait_begin(kind_, l_, l_->name, l_->write_holder, &l_->timing);
+    }
+    if (l_->can_sleep || force_sleep) {
+      l_->waiting = true;
+      ++l_->stats.sleeps;
+      assert_wait(l_);
+      simple_unlock(&l_->interlock);
+      thread_block();
+    } else {
+      ++l_->stats.spins;
+      simple_unlock(&l_->interlock);
+      bo_.pause();
+    }
+    simple_lock(&l_->interlock);
   }
-  kprof::publish_word(prev_activity);
-}
+  void done() {
+    if (waited_) lock_event::wait_end(token_);
+  }
+
+ private:
+  lock_t l_;
+  site kind_;
+  bool waited_ = false;
+  lock_event::wait_token token_;
+  backoff bo_;
+};
 
 // Interlock held. Wake anyone blocked on the lock after a state change
 // that could unblock them. Wake-all: waiters re-check their predicate and
@@ -127,9 +96,7 @@ void lock_init(lock_t l, bool can_sleep, const char* name) {
   l->write_holder = nullptr;
   l->name = name;
   l->stats = complex_lock_stats{};
-  l->write_acquire_nanos = 0;
-  l->hold_hist = latency_histogram{};
-  l->wait_hist = latency_histogram{};
+  l->timing = lock_timing{};
 }
 
 void lock_read(lock_t l) {
@@ -145,26 +112,12 @@ void lock_read(lock_t l) {
     simple_unlock(&l->interlock);
     return;
   }
-  bool waited = false;
-  std::uint64_t wait_start = 0;
-  backoff bo;
-  while (reader_must_wait(l)) {
-    if (!waited) {
-      waited = true;
-      wait_start = wait_stamp(wait_start);
-      span_note_wait(l);
-      wait_graph::instance().thread_waits(me, l, l->name);
-    }
-    lock_wait(l, bo);
-  }
-  if (waited) {
-    wait_graph::instance().thread_wait_done(me, l);
-    wait_finish(l, wait_start, trace_kind::complex_read_wait);
-  }
+  lock_waiter w(l, site::complex_read);
+  while (reader_must_wait(l)) w.wait();
+  w.done();
   ++l->read_count;
   ++l->stats.read_acquisitions;
-  kprof::publish(kprof::activity::holding, l->name);
-  wait_graph::instance().resource_held(l, me, l->name);
+  lock_event::hold_acquired(site::complex_read, l, me, l->name);
   simple_unlock(&l->interlock);
 }
 
@@ -183,40 +136,17 @@ void lock_write(lock_t l) {
     simple_unlock(&l->interlock);
     panic(std::string("recursive write acquisition after downgrade on ") + l->name);
   }
-  bool waited = false;
-  std::uint64_t wait_start = 0;
-  backoff bo;
-  auto note_wait = [&] {
-    if (!waited) {
-      waited = true;
-      wait_start = wait_stamp(wait_start);
-      span_note_wait(l);
-      wait_graph::instance().thread_waits(me, l, l->name);
-      watchdog_note_wait_begin(stall_kind::writer_wait, l, l->name);
-    }
-  };
+  lock_waiter w(l, site::complex_write);
   // Wait our turn behind other writers/upgraders...
-  while (l->want_write || l->want_upgrade) {
-    note_wait();
-    lock_wait(l, bo);
-  }
+  while (l->want_write || l->want_upgrade) w.wait();
   l->want_write = true;  // commits us: no new readers may be added
   // ...then drain existing readers, yielding to upgrades (upgrades are
   // favored over writes to avoid deadlocking a reader that must upgrade).
-  while (l->read_count > 0 || l->want_upgrade) {
-    note_wait();
-    lock_wait(l, bo);
-  }
-  if (waited) {
-    watchdog_note_wait_end();
-    wait_graph::instance().thread_wait_done(me, l);
-    wait_finish(l, wait_start, trace_kind::complex_write_wait);
-  }
+  while (l->read_count > 0 || l->want_upgrade) w.wait();
+  w.done();
   l->write_holder = me;
   ++l->stats.write_acquisitions;
-  hold_begin(l);
-  kprof::publish(kprof::activity::holding, l->name);
-  wait_graph::instance().resource_held(l, me, l->name);
+  lock_event::hold_acquired(site::complex_write, l, me, l->name, &l->timing);
   simple_unlock(&l->interlock);
 }
 
@@ -233,34 +163,18 @@ bool lock_read_to_write(lock_t l) {
     // (required to let the other upgrade drain; the caller needs recovery
     // logic — the cost sec. 7.1 complains about, measured in E4).
     ++l->stats.upgrades_failed;
-    kprof::publish(kprof::activity::running, nullptr);
-    wait_graph::instance().resource_released(l, me);
+    lock_event::hold_released(site::complex_read, l, me, l->name);
     lock_wakeup(l);  // our released read hold may unblock the winner
     simple_unlock(&l->interlock);
     return true;  // TRUE = upgrade failed
   }
   l->want_upgrade = true;
-  bool waited = false;
-  std::uint64_t wait_start = 0;
-  backoff bo;
-  while (l->read_count > 0) {
-    if (!waited) {
-      waited = true;
-      wait_start = wait_stamp(wait_start);
-      span_note_wait(l);
-      wait_graph::instance().thread_waits(me, l, l->name);
-    }
-    lock_wait(l, bo);
-  }
-  if (waited) {
-    watchdog_note_wait_end();
-    wait_graph::instance().thread_wait_done(me, l);
-    wait_finish(l, wait_start, trace_kind::complex_upgrade_wait);
-  }
+  lock_waiter w(l, site::complex_upgrade);
+  while (l->read_count > 0) w.wait();
+  w.done();
   l->write_holder = me;
   ++l->stats.upgrades_succeeded;
-  hold_begin(l);
-  kprof::publish(kprof::activity::holding, l->name);
+  lock_event::hold_acquired(site::complex_write, l, me, l->name, &l->timing);
   simple_unlock(&l->interlock);
   return false;
 }
@@ -272,7 +186,9 @@ void lock_write_to_read(lock_t l) {
   if (l->recursion_depth != 0) {
     fail_locked(l, std::string("downgrade with nested write acquisitions on ") + l->name);
   }
-  hold_finish(l);  // the write-side hold ends at the downgrade
+  // The write-side hold ends at the downgrade; a read hold continues it.
+  lock_event::hold_released(site::complex_write, l, me, l->name, &l->timing);
+  lock_event::hold_acquired(site::complex_read, l, me, l->name);
   ++l->read_count;
   if (l->want_upgrade) {
     l->want_upgrade = false;
@@ -291,8 +207,7 @@ void lock_done(lock_t l) {
   if (l->read_count > 0) {
     --l->read_count;
     if (l->read_count == 0 || l->recursion_thread != me) {
-      kprof::publish(kprof::activity::running, nullptr);
-      wait_graph::instance().resource_released(l, me);
+      lock_event::hold_released(site::complex_read, l, me, l->name);
     }
   } else if (l->recursion_depth > 0) {
     if (l->recursion_thread != me) {
@@ -305,18 +220,14 @@ void lock_done(lock_t l) {
     }
     l->want_upgrade = false;
     l->write_holder = nullptr;
-    hold_finish(l);
-    kprof::publish(kprof::activity::running, nullptr);
-    wait_graph::instance().resource_released(l, me);
+    lock_event::hold_released(site::complex_write, l, me, l->name, &l->timing);
   } else {
     if (!(l->want_write && l->write_holder == me)) {
       fail_locked(l, std::string("lock_done of unheld lock ") + l->name);
     }
     l->want_write = false;
     l->write_holder = nullptr;
-    hold_finish(l);
-    kprof::publish(kprof::activity::running, nullptr);
-    wait_graph::instance().resource_released(l, me);
+    lock_event::hold_released(site::complex_write, l, me, l->name, &l->timing);
   }
   lock_wakeup(l);
   simple_unlock(&l->interlock);
@@ -338,8 +249,7 @@ bool lock_try_read(lock_t l) {
   }
   ++l->read_count;
   ++l->stats.read_acquisitions;
-  kprof::publish(kprof::activity::holding, l->name);
-  wait_graph::instance().resource_held(l, me, l->name);
+  lock_event::hold_acquired(site::complex_read, l, me, l->name);
   simple_unlock(&l->interlock);
   return true;
 }
@@ -361,9 +271,7 @@ bool lock_try_write(lock_t l) {
   l->want_write = true;
   l->write_holder = me;
   ++l->stats.write_acquisitions;
-  hold_begin(l);
-  kprof::publish(kprof::activity::holding, l->name);
-  wait_graph::instance().resource_held(l, me, l->name);
+  lock_event::hold_acquired(site::complex_write, l, me, l->name, &l->timing);
   simple_unlock(&l->interlock);
   return true;
 }
@@ -380,30 +288,14 @@ bool lock_try_read_to_write(lock_t l) {
   }
   l->want_upgrade = true;
   --l->read_count;
-  bool waited = false;
-  std::uint64_t wait_start = 0;
-  backoff bo;
-  while (l->read_count > 0) {
-    if (!waited) {
-      waited = true;
-      wait_start = wait_stamp(wait_start);
-      span_note_wait(l);
-      wait_graph::instance().thread_waits(me, l, l->name);
-      watchdog_note_wait_begin(stall_kind::writer_wait, l, l->name);
-    }
-    // Appendix B.3: Mach 2.5's implementation blocked here even with the
-    // Sleep option disabled; reproduce that when the compat knob is set.
-    lock_wait(l, bo, /*force_sleep=*/l->mach25_try_upgrade_bug);
-  }
-  if (waited) {
-    watchdog_note_wait_end();
-    wait_graph::instance().thread_wait_done(me, l);
-    wait_finish(l, wait_start, trace_kind::complex_upgrade_wait);
-  }
+  // Appendix B.3: Mach 2.5's implementation blocked here even with the
+  // Sleep option disabled; reproduce that when the compat knob is set.
+  lock_waiter w(l, site::complex_upgrade);
+  while (l->read_count > 0) w.wait(/*force_sleep=*/l->mach25_try_upgrade_bug);
+  w.done();
   l->write_holder = me;
   ++l->stats.upgrades_succeeded;
-  hold_begin(l);
-  kprof::publish(kprof::activity::holding, l->name);
+  lock_event::hold_acquired(site::complex_write, l, me, l->name, &l->timing);
   simple_unlock(&l->interlock);
   return true;
 }

@@ -30,7 +30,6 @@
 
 #include <cstdint>
 
-#include "base/stats.h"
 #include "sync/lockstat.h"
 #include "sync/simple_lock.h"
 
@@ -76,14 +75,12 @@ struct lock_data_t {
   const void* write_holder = nullptr;  // thread holding for write/upgrade
   const char* name = "complex-lock";
   complex_lock_stats stats;
-  // Hold/wait-time profiling (ktrace-gated, like simple locks; see
-  // sync/simple_lock.h). wait_hist covers read, write, and upgrade waits;
+  // Hold/wait-time profiling, shared with simple locks (see
+  // sync/lock_event.h). wait_hist covers read, write, and upgrade waits;
   // hold_hist covers write-side holds (a read hold is shared by many
-  // threads at once, so per-holder read spans are not tracked). All
-  // mutated under the interlock.
-  std::uint64_t write_acquire_nanos = 0;
-  latency_histogram hold_hist;
-  latency_histogram wait_hist;
+  // threads at once, so per-holder read spans are not tracked). Mutated
+  // under the interlock.
+  lock_timing timing;
 
   lock_data_t() { lock_registry::instance().add(this); }
   ~lock_data_t() { lock_registry::instance().remove(this); }

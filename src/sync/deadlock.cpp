@@ -9,16 +9,6 @@
 
 namespace mach {
 
-const void* current_thread_token() noexcept {
-  thread_local char token;
-  return &token;
-}
-
-int& held_tracked_simple_locks() noexcept {
-  thread_local int count = 0;
-  return count;
-}
-
 struct wait_graph::impl {
   mutable std::mutex m;
   std::map<const void*, std::string> thread_names;
@@ -70,7 +60,6 @@ void wait_graph::thread_waits(const void* thread, const void* resource,
 }
 
 void wait_graph::thread_wait_done(const void* thread, const void* resource) {
-  if (!enabled()) return;
   impl& s = self();
   std::lock_guard<std::mutex> g(s.m);
   auto [lo, hi] = s.waits.equal_range(thread);
@@ -92,7 +81,6 @@ void wait_graph::resource_held(const void* resource, const void* thread,
 }
 
 void wait_graph::resource_released(const void* resource, const void* thread) {
-  if (!enabled()) return;
   impl& s = self();
   std::lock_guard<std::mutex> g(s.m);
   auto it = s.holds.find(resource);

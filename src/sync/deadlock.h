@@ -8,39 +8,50 @@
 // tracing is enabled) and finds cycles on demand, so the experiments can
 // *detect and report* the deadlocks the paper describes instead of hanging.
 //
-// Tracing is off by default and costs one relaxed atomic load per lock
-// operation when off. Resources are keyed by address; names are for
-// reporting only.
+// Tracing is off by default. The graph is a lock_event consumer (bit
+// k_graph): while it is off, lock operations pay only the stage's shared
+// mask check (see sync/lock_event.h). Resources are keyed by address;
+// names are for reporting only.
 #pragma once
 
-#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "sync/lock_event.h"
 
 namespace mach {
 
 // Stable per-thread identity usable below the scheduler layer (the
 // scheduler itself uses simple locks, so lock debugging cannot depend on
-// kthread). The token is the address of a thread_local object.
-const void* current_thread_token() noexcept;
+// kthread). The token is the address of a thread_local object. Inline:
+// the lock fast paths call it.
+inline const void* current_thread_token() noexcept {
+  static thread_local char token;
+  return &token;
+}
 
 // Count of *tracked* simple locks held by the current thread; the event
 // system asserts this is zero in thread_block (the paper's "may not be held
 // during blocking operations" rule).
-int& held_tracked_simple_locks() noexcept;
+inline int& held_tracked_simple_locks() noexcept {
+  static thread_local int count = 0;
+  return count;
+}
 
 class wait_graph {
  public:
   static wait_graph& instance() noexcept;
 
-  void set_enabled(bool on) noexcept { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const noexcept { return enabled_.load(std::memory_order_relaxed); }
+  void set_enabled(bool on) noexcept { lock_event::set_subscribed(lock_event::k_graph, on); }
+  bool enabled() const noexcept { return lock_event::subscribed(lock_event::k_graph); }
 
   // Give the current thread a report-friendly name.
   void name_thread(const void* thread, std::string name);
 
-  // Edge bookkeeping. All are no-ops when tracing is disabled.
+  // Edge bookkeeping, fed by the lock_event stage. Adding an edge is a
+  // no-op while tracing is disabled; removing one never is, so a wait or
+  // hold that began while enabled is always undone.
   void thread_waits(const void* thread, const void* resource, const char* resource_name);
   void thread_wait_done(const void* thread, const void* resource);
   void resource_held(const void* resource, const void* thread, const char* resource_name);
@@ -74,7 +85,6 @@ class wait_graph {
 
  private:
   wait_graph() = default;
-  std::atomic<bool> enabled_{false};
   impl& self() const;
 };
 

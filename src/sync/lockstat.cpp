@@ -64,8 +64,9 @@ std::size_t lock_registry::live_locks() const {
 
 namespace {
 
-void fill_latency(lock_stat_entry& e, const latency_histogram& hold,
-                  const latency_histogram& wait) {
+void fill_latency(lock_stat_entry& e, const lock_timing& t) {
+  const latency_histogram& hold = t.hold_hist;
+  const latency_histogram& wait = t.wait_hist;
   e.hold_samples = hold.count();
   e.hold_p50_nanos = hold.quantile_nanos(0.5);
   e.hold_p99_nanos = hold.quantile_nanos(0.99);
@@ -84,7 +85,7 @@ std::vector<lock_stat_entry> lock_registry::snapshot() const {
     out.reserve(s.simple.size() + s.complex.size());
     for (simple_lock_data_t* l : s.simple) {
       lock_stat_entry e{l, l->name, false, l->stat_acquisitions, l->stat_contended};
-      fill_latency(e, l->hold_hist, l->wait_hist);
+      fill_latency(e, l->timing);
       out.push_back(e);
     }
     for (lock_data_t* l : s.complex) {
@@ -92,7 +93,7 @@ std::vector<lock_stat_entry> lock_registry::snapshot() const {
       lock_stat_entry e{l, l->name, true,
                         l->stats.read_acquisitions + l->stats.write_acquisitions,
                         l->stats.sleeps + l->stats.spins};
-      fill_latency(e, l->hold_hist, l->wait_hist);
+      fill_latency(e, l->timing);
       out.push_back(e);
     }
   }

@@ -28,15 +28,11 @@
 #include <atomic>
 
 #include "base/panic.h"
-#include "base/stats.h"
-#include "metrics/watchdog.h"
-#include "prof/kprof.h"
 #include "sync/deadlock.h"
+#include "sync/lock_event.h"
 #include "sync/lockstat.h"
 #include "sync/spin_policies.h"
 #include "sync/spin_stats.h"
-#include "trace/kspan.h"
-#include "trace/ktrace.h"
 
 namespace mach {
 
@@ -51,13 +47,9 @@ struct simple_lock_data_t {
   // synchronization needed; see sync/lockstat.h).
   std::uint64_t stat_acquisitions = 0;
   std::uint64_t stat_contended = 0;
-  // Hold/wait-time profiling, populated only while ktrace is enabled
-  // (clock reads are too expensive for the always-on path). acquire_nanos
-  // is the current hold's start (0 when untimed); the histograms are
-  // mutated only while the lock is held, like the counters above.
-  std::uint64_t acquire_nanos = 0;
-  latency_histogram hold_hist;
-  latency_histogram wait_hist;
+  // Hold/wait-time profiling of tracked locks, populated only while ktrace
+  // is subscribed to lock events (see sync/lock_event.h).
+  lock_timing timing;
 
   simple_lock_data_t() { lock_registry::instance().add(this); }
   explicit simple_lock_data_t(const char* n, bool track = true,
@@ -84,41 +76,31 @@ inline void simple_lock_init(simple_lock_data_t* l, const char* name = "simple-l
   l->name = name;
   l->policy = policy;
   l->tracked = tracked;
-  l->acquire_nanos = 0;
-  l->hold_hist = latency_histogram{};
-  l->wait_hist = latency_histogram{};
+  l->timing = lock_timing{};
 }
 
 namespace detail {
 
-// Cold halves of the tracing instrumentation, kept out of line so the
-// always-inlined lock/unlock fast paths stay compact when tracing is off.
-[[gnu::noinline, gnu::cold]] inline void begin_timed_hold(simple_lock_data_t* l) {
-  l->acquire_nanos = now_nanos();
-}
-
-[[gnu::noinline, gnu::cold]] inline void finish_timed_hold(simple_lock_data_t* l) {
-  // This hold was timed (tracing was on at acquisition); finish the hold
-  // span while we still own the lock.
-  const std::uint64_t end = now_nanos();
-  const std::uint64_t hold = end - l->acquire_nanos;
-  l->hold_hist.record(hold);
-  l->acquire_nanos = 0;
-  ktrace::emit_span(trace_kind::simple_lock_held, l->name, reinterpret_cast<std::uint64_t>(l),
-                    hold, end);
-}
-
 inline void note_acquired(simple_lock_data_t* l, const void* me) {
   l->holder.store(me, std::memory_order_relaxed);
   ++l->stat_acquisitions;  // safe: we hold the lock
-  // Hold-time profiling only while tracing: the enabled() check is one
-  // relaxed load, so the disabled fast path stays clock-free.
-  l->acquire_nanos = 0;
-  if (l->tracked && ktrace::enabled()) [[unlikely]] begin_timed_hold(l);
   if (l->tracked) {
     ++held_tracked_simple_locks();
-    wait_graph::instance().resource_held(l, me, l->name);
+    lock_event::hold_acquired(lock_event::site::simple, l, me, l->name, &l->timing);
   }
+}
+
+// The contended slow path, kept out of line so the inlined uncontended
+// lock stays a TAS plus bookkeeping.
+[[gnu::noinline]] inline void simple_lock_contended(simple_lock_data_t* l, spin_stats* stats) {
+  // Untracked (internal) locks are not timed.
+  const lock_event::wait_token wait =
+      lock_event::wait_begin(lock_event::site::simple, l, l->name,
+                             l->holder.load(std::memory_order_relaxed),
+                             l->tracked ? &l->timing : nullptr);
+  spin_acquire(l->word, l->policy, stats);
+  lock_event::wait_end(wait);
+  ++l->stat_contended;  // safe: we hold the lock
 }
 
 }  // namespace detail
@@ -133,39 +115,8 @@ inline void simple_lock(simple_lock_data_t* l, spin_stats* stats = nullptr) {
   const void* me = current_thread_token();
   MACH_ASSERT(l->holder.load(std::memory_order_relaxed) != me,
               std::string("recursive simple_lock on ") + l->name);
-  bool contended = false;
-  std::uint64_t wait_start = 0;
-  if (!spin_try_acquire(l->word, stats)) {
-    contended = true;
-    if (l->tracked && ktrace::enabled()) {
-      wait_start = now_nanos();
-      // Annotate the active request span (if any) with the lock it is
-      // about to spin on and the holder blocking it.
-      kspan::note_blocked(l->name, l, l->holder.load(std::memory_order_relaxed));
-    }
-    wait_graph::instance().thread_waits(me, l, l->name);
-    watchdog_note_wait_begin(stall_kind::simple_spin, l, l->name);
-    // kprof: attribute the spin, then restore whatever the thread was
-    // doing before (e.g. a complex-lock wait spinning on the interlock).
-    const kprof::activity_word prev_activity = kprof::self_word();
-    kprof::publish(kprof::activity::spinning, l->name);
-    spin_acquire(l->word, l->policy, stats);
-    kprof::publish_word(prev_activity);
-    watchdog_note_wait_end();
-    wait_graph::instance().thread_wait_done(me, l);
-  }
+  if (!spin_try_acquire(l->word, stats)) [[unlikely]] detail::simple_lock_contended(l, stats);
   detail::note_acquired(l, me);
-  if (contended) {
-    ++l->stat_contended;  // safe: we hold the lock
-    // acquire_nanos doubles as the wait's end stamp; both are non-zero
-    // only if tracing stayed on across the whole wait.
-    if (wait_start != 0 && l->acquire_nanos != 0) {
-      const std::uint64_t wait = l->acquire_nanos - wait_start;
-      l->wait_hist.record(wait);  // safe: we hold the lock
-      ktrace::emit_span(trace_kind::simple_lock_wait, l->name,
-                        reinterpret_cast<std::uint64_t>(l), wait, l->acquire_nanos);
-    }
-  }
 }
 
 inline bool simple_lock_try(simple_lock_data_t* l, spin_stats* stats = nullptr) {
@@ -181,12 +132,11 @@ inline void simple_unlock(simple_lock_data_t* l) {
   const void* me = current_thread_token();
   MACH_ASSERT(l->holder.load(std::memory_order_relaxed) == me,
               std::string("simple_unlock by non-holder of ") + l->name);
-  if (l->acquire_nanos != 0) [[unlikely]] detail::finish_timed_hold(l);
-  l->holder.store(nullptr, std::memory_order_relaxed);
   if (l->tracked) {
     --held_tracked_simple_locks();
-    wait_graph::instance().resource_released(l, me);
+    lock_event::hold_released(lock_event::site::simple, l, me, l->name, &l->timing);
   }
+  l->holder.store(nullptr, std::memory_order_relaxed);
   spin_release(l->word);
 }
 

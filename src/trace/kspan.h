@@ -48,7 +48,6 @@ inline constexpr std::uint32_t span_span_id(span_ctx_t c) noexcept {
 namespace kspan {
 
 namespace detail {
-extern std::atomic<bool> g_enabled;
 // The calling thread's active context; read by ktrace::detail::emit_slow to
 // stamp every record, and by the watchdog wait hooks to name the stalled
 // request. Written only by the owning thread (scope ctors/dtors).
@@ -65,17 +64,18 @@ void end_scope(const char* kind, span_ctx_t ctx, std::uint64_t start_nanos,
                bool root) noexcept;
 }  // namespace detail
 
-// The global switch. One relaxed load, same contract as ktrace::enabled().
-inline bool enabled() noexcept { return detail::g_enabled.load(std::memory_order_relaxed); }
-void enable() noexcept;
-void disable() noexcept;
+// The global switch: kspan's lock_event mask bit. One relaxed load, same
+// contract as ktrace::enabled().
+inline bool enabled() noexcept { return lock_event::subscribed(lock_event::k_span); }
+inline void enable() noexcept { lock_event::set_subscribed(lock_event::k_span, true); }
+inline void disable() noexcept { lock_event::set_subscribed(lock_event::k_span, false); }
 
 // The calling thread's active context (0 when none / spans disabled).
 inline span_ctx_t current() noexcept { return detail::tl_ctx; }
 
 // Annotate the active span: the calling thread is about to block on `lock`
 // whose current holder is `holder` (may be null when unknown, e.g. a
-// reader-held complex lock). Called from the sync slow paths; self-gates on
+// reader-held complex lock). Called by the lock_event stage; self-gates on
 // an active context so uninstrumented threads pay one TLS load.
 inline void note_blocked(const char* lock_name, const void* lock, const void* holder) noexcept {
   if (detail::tl_ctx == 0) return;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "sync/deadlock.h"
+#include "sync/lock_event.h"
 
 namespace mach {
 namespace {
@@ -120,7 +120,7 @@ kern_return_t vm_map_reclaim(vm_map& map, zone& page_zone, std::size_t target_pa
   const void* me = current_thread_token();
   // Announce responsibility for producing memory: the deadlock detector
   // needs the zone→reclaimer edge to close E6's cycle.
-  wait_graph::instance().resource_held(&page_zone, me, page_zone.name());
+  lock_event::hold_acquired(lock_event::site::zone, &page_zone, me, page_zone.name());
 
   std::size_t reclaimed = 0;
   {
@@ -132,7 +132,7 @@ kern_return_t vm_map_reclaim(vm_map& map, zone& page_zone, std::size_t target_pa
     }
   }
 
-  wait_graph::instance().resource_released(&page_zone, me);
+  lock_event::hold_released(lock_event::site::zone, &page_zone, me, page_zone.name());
   return reclaimed > 0 ? KERN_SUCCESS : KERN_FAILURE;
 }
 

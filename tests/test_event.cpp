@@ -235,6 +235,31 @@ TEST(Event, ThreadSleepReleasesLockAndWaits) {
   EXPECT_TRUE(lock_was_free.load());
 }
 
+// Once its wakeup is visible, a woken thread may return, exit, be joined
+// and be destroyed, so the waker must be done with it by then. Under
+// ThreadSanitizer this shows a waker touching the destroyed thread's wait
+// state (a notify made after releasing the thread's wait mutex).
+TEST(Event, WokenThreadMayBeDestroyedAtOnce) {
+  for (int round = 0; round < 200; ++round) {
+    int ev = 0;
+    std::atomic<bool> asserted{false};
+    std::atomic<int> result{-1};
+    auto sleeper = kthread::spawn("short-lived", [&] {
+      assert_wait(&ev);
+      asserted.store(true);
+      result.store(static_cast<int>(thread_block()));
+    });
+    auto waker = kthread::spawn("waker", [&] {
+      while (!asserted.load()) std::this_thread::yield();
+      thread_wakeup(&ev);
+    });
+    sleeper->join();
+    sleeper.reset();  // destroys the kthread with its wait mutex and condvar
+    waker->join();
+    ASSERT_EQ(result.load(), static_cast<int>(wait_result::awakened)) << "round " << round;
+  }
+}
+
 // Property sweep: N producers wake N consumers, no lost wakeups, for a
 // range of concurrency levels.
 class EventStressTest : public ::testing::TestWithParam<int> {};

@@ -185,6 +185,12 @@ TEST_F(kprof_fixture, AttributesScriptedSpinWaitBlockAndAgreesWithLockstat) {
   });
   while (!wedged.load()) std::this_thread::yield();
 
+  // Activity words are published only while a reader (this sampler or the
+  // watchdog) is subscribed to lock events, so sampling starts before the
+  // three waits begin.
+  kprof::sampler& s = kprof::sampler::instance();
+  s.start(/*hz=*/2000.0, /*flight_interval=*/5ms);
+
   auto spinner = kthread::spawn("kprof-spinner", [&] {
     simple_lock(&hot);  // spins for the whole window
     simple_unlock(&hot);
@@ -199,8 +205,6 @@ TEST_F(kprof_fixture, AttributesScriptedSpinWaitBlockAndAgreesWithLockstat) {
     thread_block_timeout(2000ms);  // nobody wakes us; released below
   });
 
-  kprof::sampler& s = kprof::sampler::instance();
-  s.start(/*hz=*/2000.0, /*flight_interval=*/5ms);
   std::this_thread::sleep_for(120ms);
   s.stop();
 

@@ -140,10 +140,15 @@ TEST(ComplexLockProperty, ReadersOverlapWritersDoNot) {
   std::atomic<int> inside{0};
   std::atomic<int> peak{0};
   rw_model model;
+  // Start gate: a worker that ran all its iterations before the next one
+  // was spawned could never overlap with it.
+  std::atomic<int> started{0};
   std::vector<std::unique_ptr<kthread>> workers;
   for (int t = 0; t < 4; ++t) {
     workers.push_back(kthread::spawn("ov" + std::to_string(t), [&, t] {
       xorshift64 rng(static_cast<std::uint64_t>(t));
+      started.fetch_add(1);
+      while (started.load() < 4) std::this_thread::yield();
       for (int i = 0; i < 1500; ++i) {
         if (rng.next_below(10) == 0) {
           lock_write(&lock);

@@ -286,6 +286,10 @@ TEST_F(pageable_deadlock_fixture, LegacyRecursivePathDeadlocks) {
     EXPECT_EQ(vm_map_pageable_legacy(*map, hot_addr, 4 * vm_page_size, true), KERN_SUCCESS);
     wire_done.store(true);
   });
+  // Let the wirer reach the shortage first: a reclaimer that got the write
+  // lock before the wirer's read lock would free the slots and no
+  // deadlock would form.
+  while (pages.raw().alloc_sleeps() == 0) std::this_thread::yield();
   // The reclaimer needs the map write lock to evict cold pages — and
   // cannot get it: the deadlock of section 7.1.
   std::atomic<bool> reclaim_done{false};

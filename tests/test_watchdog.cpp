@@ -174,6 +174,44 @@ TEST(Watchdog, TripsOnStarvedWriter) {
   writer->join();
 }
 
+// An upgrader waits for the other readers to drain, like a writer, and the
+// writer class covers it. On a non-sleepable lock it spins in backoff, so
+// no blocked-thread entry can stand in for the missing writer entry.
+TEST(Watchdog, TripsOnStarvedUpgrader) {
+  watchdog_config cfg;
+  cfg.poll = 5ms;
+  cfg.spin_deadline = 10s;
+  cfg.block_deadline = 10s;
+  cfg.writer_deadline = 50ms;
+  trip_collector trips(cfg);
+
+  lock_data_t l;
+  lock_init(&l, /*can_sleep=*/false, "upgrade-starver-lock");
+  std::atomic<bool> reading{false};
+  std::atomic<bool> release{false};
+  auto reader = kthread::spawn("wedged-reader", [&] {
+    lock_read(&l);
+    reading.store(true);
+    while (!release.load()) std::this_thread::sleep_for(1ms);
+    lock_done(&l);
+  });
+  while (!reading.load()) std::this_thread::yield();
+
+  auto upgrader = kthread::spawn("starved-upgrader", [&] {
+    lock_read(&l);
+    EXPECT_FALSE(lock_read_to_write(&l));  // false = upgraded
+    lock_done(&l);
+  });
+
+  const std::string report = trips.wait_for_trip(2000ms);
+  release.store(true);
+  reader->join();
+  upgrader->join();
+  ASSERT_FALSE(report.empty()) << "watchdog did not trip on a starved upgrader";
+  EXPECT_NE(report.find("starved complex-lock writer"), std::string::npos) << report;
+  EXPECT_NE(report.find("upgrade-starver-lock"), std::string::npos) << report;
+}
+
 TEST(Watchdog, HealthyContentionDoesNotTrip) {
   watchdog_config cfg;
   cfg.poll = 5ms;
