@@ -8,8 +8,8 @@
 //       atomic "portion", the Linux-style lockref (lock word + count in
 //       one 64-bit cmpxchg; kern/refcount.h), and the striped per-slot
 //       count for long-lived hot objects.
-//   (b) the same four policies threaded through the full kobject
-//       ref_ptr clone/release path (the policy choice kobject exposes).
+//   (b) the full kobject ref_ptr clone/release path, on the one count
+//       every kobject embeds (lockref).
 //   (c) memory objects carry TWO counts; the paging count "is a hybrid of
 //       a reference and a lock because it excludes operations such as
 //       object termination while paging is in progress" — we measure how
@@ -33,8 +33,9 @@ using namespace std::chrono_literals;
 
 constexpr int kThreadPoints[] = {1, 2, 4, 8};
 
-double run_count_storm(refcount_policy policy, int threads, int duration_ms) {
-  krefcount count(policy, 1);
+template <typename Count>
+double run_count_storm(int threads, int duration_ms) {
+  Count count(1);
   workload_spec spec;
   spec.threads = threads;
   spec.duration_ms = duration_ms;
@@ -45,11 +46,11 @@ double run_count_storm(refcount_policy policy, int threads, int duration_ms) {
   return run_workload(spec).ops_per_second();
 }
 
-double run_kobject_storm(refcount_policy policy, int threads, int duration_ms) {
+double run_kobject_storm(int threads, int duration_ms) {
   struct plain : kobject {
-    explicit plain(refcount_policy p) : kobject("e7", p) {}
+    plain() : kobject("e7") {}
   };
-  auto obj = make_object<plain>(policy);
+  auto obj = make_object<plain>();
   workload_spec spec;
   spec.threads = threads;
   spec.duration_ms = duration_ms;
@@ -59,18 +60,13 @@ double run_kobject_storm(refcount_policy policy, int threads, int duration_ms) {
   return run_workload(spec).ops_per_second();
 }
 
-const char* policy_row_label(refcount_policy p) {
-  switch (p) {
-    case refcount_policy::locked:
-      return "locked count (paper)";
-    case refcount_policy::atomic:
-      return "atomic portion";
-    case refcount_policy::lockref:
-      return "lockref cmpxchg";
-    case refcount_policy::striped:
-      return "striped per-slot";
+// One E7 row: `label`, then `run`'s ops/s at each thread point.
+std::vector<std::string> storm_row(const char* label, double (*run)(int, int), int duration_ms) {
+  std::vector<std::string> row{label};
+  for (int th : kThreadPoints) {
+    row.push_back(mach::table::num(static_cast<std::uint64_t>(run(th, duration_ms))));
   }
-  return "?";
+  return row;
 }
 
 }  // namespace
@@ -83,30 +79,18 @@ int main() {
   mach::table t("E7a: reference clone+release throughput by count policy (sec. 8)");
   t.columns({"policy", "1 thread", "2 threads", "4 threads", "8 threads"});
   t.dirs({dir::info, dir::higher, dir::higher, dir::higher, dir::higher});
-  for (refcount_policy p : kRefcountPolicies) {
-    std::vector<std::string> row{policy_row_label(p)};
-    for (int th : kThreadPoints) {
-      row.push_back(mach::table::num(
-          static_cast<std::uint64_t>(run_count_storm(p, th, duration))));
-    }
-    t.row(row);
-  }
+  t.row(storm_row("locked count (paper)", run_count_storm<locked_refcount>, duration));
+  t.row(storm_row("atomic portion", run_count_storm<atomic_refcount>, duration));
+  t.row(storm_row("lockref cmpxchg", run_count_storm<lockref_refcount>, duration));
+  t.row(storm_row("striped per-slot", run_count_storm<striped_refcount>, duration));
   t.print();
 
-  // (b) the same shoot-out through the full kobject get/put path: clone a
-  // ref_ptr from a shared object and drop it, with the policy threaded
-  // through the kobject constructor.
+  // (b) the full kobject get/put path: clone a ref_ptr from a shared object
+  // and drop it. The row label names the count kobject embeds.
   mach::table tb("E7b: kobject ref_ptr clone+release by count policy (sec. 8)");
   tb.columns({"policy", "1 thread", "2 threads", "4 threads", "8 threads"});
   tb.dirs({dir::info, dir::higher, dir::higher, dir::higher, dir::higher});
-  for (refcount_policy p : kRefcountPolicies) {
-    std::vector<std::string> row{std::string("kobject ") + refcount_policy_name(p)};
-    for (int th : kThreadPoints) {
-      row.push_back(mach::table::num(
-          static_cast<std::uint64_t>(run_kobject_storm(p, th, duration))));
-    }
-    tb.row(row);
-  }
+  tb.row(storm_row("kobject lockref", run_kobject_storm, duration));
   tb.print();
 
   // (c) the hybrid paging count excludes termination.

@@ -6,31 +6,32 @@
 // object (or the portion containing its reference count)". That is
 // locked_refcount below, and the discipline kobject builds on.
 //
-// Four interchangeable policies are provided, compared head-to-head in
-// the E7 shoot-out and selectable per-object through kobject:
+// Four count classes are provided. kobject embeds lockref_refcount, fixed
+// by type; the other three are instantiated directly by the E7a shoot-out,
+// the equivalence property tests and the stress battery:
 //
 //   * locked_refcount  — the paper's design: count guarded by a simple
 //     lock. Every get/put pays an acquire/release pair.
 //   * atomic_refcount  — the "portion" form taken literally: one atomic
 //     RMW, no lock. The modern baseline the paper's choice is measured
 //     against.
-//   * lockref_refcount — the Linux lockref technique (sync/lockref.h):
-//     lock word and count packed into one 64-bit word, updated by a
-//     BOUNDED cmpxchg loop. Fallback to the embedded locked path when
-//     (a) the lock bit is observed set, or (b) kFastAttempts cmpxchges
-//     lose their race (livelock bound). Get/put on an unlocked object
-//     never touches the spinlock.
-//   * striped_refcount — per-slot counters for long-lived hot objects
-//     (pset, the pager-backed memory object) whose single count line
-//     would ping-pong. Threads get/put against a thread-affine slot (its
-//     own cache line, each a lockref64 word); release-to-zero detection
-//     happens in a locked reconcile that folds every slot into a base
-//     count. Invariant making fast-path puts provably non-final: slots
-//     never go negative and base stays >= 1 while the object is alive, so
-//     a put that keeps its slot >= 0 cannot be the last reference; a put
-//     that would drive its slot negative takes the reconcile path
-//     instead. At zero the reconcile marks every slot with the sticky
-//     kDeadBit, which is how clone-from-dead panics stay exact.
+//   * lockref_refcount — the kobject count: the Linux lockref technique
+//     (sync/lockref.h). Lock word and count are packed into one 64-bit
+//     word, updated by a BOUNDED cmpxchg loop. Fallback to the embedded
+//     locked path when (a) the lock bit is observed set, or (b)
+//     kFastAttempts cmpxchges lose their race (livelock bound). Get/put on
+//     an unlocked object never touches the spinlock.
+//   * striped_refcount — per-slot counters for a long-lived hot object
+//     whose single count line would ping-pong. Threads get/put against a
+//     thread-affine slot (its own cache line, each a lockref64 word);
+//     release-to-zero detection happens in a locked reconcile that folds
+//     every slot into a base count. Invariant making fast-path puts
+//     provably non-final: slots never go negative and base stays >= 1
+//     while the object is alive, so a put that keeps its slot >= 0 cannot
+//     be the last reference; a put that would drive its slot negative
+//     takes the reconcile path instead. At zero the reconcile marks every
+//     slot with the sticky kDeadBit, which is how clone-from-dead panics
+//     stay exact.
 //
 // Observable semantics are identical across policies (asserted by the
 // policy-equivalence property tests): release() returns true exactly
@@ -56,7 +57,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <new>
 #include <string>
 
 #include "base/panic.h"
@@ -356,129 +356,6 @@ class striped_refcount {
   // so value() can snapshot it without them. Invariant: >= 1 while the
   // object is alive (the fold publishes the whole positive total here).
   std::atomic<std::int64_t> base_;
-};
-
-// --- runtime policy selection (threaded through kobject) ---
-
-enum class refcount_policy : std::uint8_t { locked, atomic, lockref, striped };
-
-inline constexpr refcount_policy kRefcountPolicies[] = {
-    refcount_policy::locked,
-    refcount_policy::atomic,
-    refcount_policy::lockref,
-    refcount_policy::striped,
-};
-
-const char* refcount_policy_name(refcount_policy p) noexcept;
-
-// Parses "locked" / "atomic" / "lockref" / "striped"; false on no match.
-bool refcount_policy_parse(const std::string& s, refcount_policy* out) noexcept;
-
-// The kernel-wide default for kobject: MACHLOCK_REFCOUNT=<policy> if set
-// and valid, else lockref (the fast path this library exists to measure).
-refcount_policy default_refcount_policy() noexcept;
-
-// A reference count with the policy chosen at construction — the form
-// kobject embeds. Dispatch is one predictable switch; the storage is a
-// union so only the selected policy is ever constructed (constructing a
-// locked_refcount registers a lock; a striped_refcount is slot-array
-// sized — neither should be paid by objects using another policy).
-class krefcount {
- public:
-  explicit krefcount(refcount_policy p, int initial = 1) : pol_(p) {
-    switch (pol_) {
-      case refcount_policy::locked:
-        new (&u_.lk) locked_refcount(initial);
-        break;
-      case refcount_policy::atomic:
-        new (&u_.at) atomic_refcount(initial);
-        break;
-      case refcount_policy::lockref:
-        new (&u_.lr) lockref_refcount(initial);
-        break;
-      case refcount_policy::striped:
-        new (&u_.st) striped_refcount(initial);
-        break;
-    }
-  }
-
-  ~krefcount() {
-    switch (pol_) {
-      case refcount_policy::locked:
-        u_.lk.~locked_refcount();
-        break;
-      case refcount_policy::atomic:
-        u_.at.~atomic_refcount();
-        break;
-      case refcount_policy::lockref:
-        u_.lr.~lockref_refcount();
-        break;
-      case refcount_policy::striped:
-        u_.st.~striped_refcount();
-        break;
-    }
-  }
-
-  krefcount(const krefcount&) = delete;
-  krefcount& operator=(const krefcount&) = delete;
-
-  void acquire(const char* who = nullptr) {
-    switch (pol_) {
-      case refcount_policy::locked:
-        u_.lk.acquire(who);
-        break;
-      case refcount_policy::atomic:
-        u_.at.acquire(who);
-        break;
-      case refcount_policy::lockref:
-        u_.lr.acquire(who);
-        break;
-      case refcount_policy::striped:
-        u_.st.acquire(who);
-        break;
-    }
-  }
-
-  bool release(const char* who = nullptr) {
-    switch (pol_) {
-      case refcount_policy::locked:
-        return u_.lk.release(who);
-      case refcount_policy::atomic:
-        return u_.at.release(who);
-      case refcount_policy::lockref:
-        return u_.lr.release(who);
-      case refcount_policy::striped:
-        return u_.st.release(who);
-    }
-    panic("krefcount: corrupt policy tag");
-  }
-
-  int value() const {
-    switch (pol_) {
-      case refcount_policy::locked:
-        return u_.lk.value();
-      case refcount_policy::atomic:
-        return u_.at.value();
-      case refcount_policy::lockref:
-        return u_.lr.value();
-      case refcount_policy::striped:
-        return u_.st.value();
-    }
-    panic("krefcount: corrupt policy tag");
-  }
-
-  refcount_policy policy() const noexcept { return pol_; }
-
- private:
-  union storage {
-    storage() {}
-    ~storage() {}
-    locked_refcount lk;
-    atomic_refcount at;
-    lockref_refcount lr;
-    striped_refcount st;
-  } u_;
-  refcount_policy pol_;
 };
 
 }  // namespace mach

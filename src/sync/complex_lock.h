@@ -37,16 +37,17 @@ namespace mach {
 
 // Cumulative per-lock statistics, mutated under the interlock (so reading
 // them while the lock is in active use gives a consistent-enough snapshot
-// for reporting, and updating them costs no extra synchronization).
+// for reporting, and updating them costs no extra synchronization; see
+// stat_counter in sync/lockstat.h).
 struct complex_lock_stats {
-  std::uint64_t read_acquisitions = 0;
-  std::uint64_t write_acquisitions = 0;
-  std::uint64_t recursive_acquisitions = 0;
-  std::uint64_t upgrades_succeeded = 0;
-  std::uint64_t upgrades_failed = 0;
-  std::uint64_t downgrades = 0;
-  std::uint64_t sleeps = 0;  // waits that went through the event system
-  std::uint64_t spins = 0;   // interlock-release/reacquire spin iterations
+  stat_counter read_acquisitions;
+  stat_counter write_acquisitions;
+  stat_counter recursive_acquisitions;
+  stat_counter upgrades_succeeded;
+  stat_counter upgrades_failed;
+  stat_counter downgrades;
+  stat_counter sleeps;  // waits that went through the event system
+  stat_counter spins;   // interlock-release/reacquire spin iterations
 };
 
 // Storage for a single complex lock (the paper's C type lock_data_t).

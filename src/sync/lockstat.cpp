@@ -89,7 +89,7 @@ std::vector<lock_stat_entry> lock_registry::snapshot() const {
       out.push_back(e);
     }
     for (lock_data_t* l : s.complex) {
-      // Racy reads of the interlock-protected stats: fine for diagnostics.
+      // Unlocked reads of the interlock-protected stats: fine for diagnostics.
       lock_stat_entry e{l, l->name, true,
                         l->stats.read_acquisitions + l->stats.write_acquisitions,
                         l->stats.sleeps + l->stats.spins};

@@ -8,13 +8,15 @@
 // contention counts for all live locks — the moral equivalent of a
 // kernel's lockstat.
 //
-// Counter updates are free of extra synchronization: a simple lock's
+// Counter updates need no extra synchronization: a simple lock's
 // counters are mutated only while the lock itself is held; a complex
 // lock's counters live in its interlock-protected stats. Snapshots read
-// them racily (counts may be one op stale), which is the usual and
-// acceptable trade for diagnostics.
+// them while the locks are in use (counts may be one op stale), so each
+// counter is a stat_counter: a relaxed atomic that its writers bump with a
+// plain load and store.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,6 +25,31 @@ namespace mach {
 
 struct lock_data_t;
 struct simple_lock_data_t;
+
+// A statistics counter written only under the lock that guards it and read
+// by snapshots without that lock. ++ is a relaxed load plus a relaxed
+// store, not a read-modify-write: the guarding lock already serialises
+// writers, so a bump costs what a plain increment does, and a concurrent
+// reader sees a whole value instead of racing.
+class stat_counter {
+ public:
+  stat_counter() = default;
+  stat_counter(const stat_counter& o) noexcept : v_(o.load()) {}
+  stat_counter& operator=(const stat_counter& o) noexcept {
+    v_.store(o.load(), std::memory_order_relaxed);
+    return *this;
+  }
+
+  stat_counter& operator++() noexcept {
+    v_.store(v_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+    return *this;
+  }
+  std::uint64_t load() const noexcept { return v_.load(std::memory_order_relaxed); }
+  operator std::uint64_t() const noexcept { return load(); }  // NOLINT(google-explicit-constructor)
+
+ private:
+  std::atomic<std::uint64_t> v_{0};
+};
 
 struct lock_stat_entry {
   const void* address;

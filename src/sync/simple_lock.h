@@ -43,10 +43,10 @@ struct simple_lock_data_t {
   const char* name = "simple-lock";
   spin_policy policy = spin_policy::tas_then_ttas;
   bool tracked = true;
-  // lockstat counters, mutated only while the lock is held (no extra
-  // synchronization needed; see sync/lockstat.h).
-  std::uint64_t stat_acquisitions = 0;
-  std::uint64_t stat_contended = 0;
+  // lockstat counters, mutated only while the lock is held (see
+  // sync/lockstat.h).
+  stat_counter stat_acquisitions;
+  stat_counter stat_contended;
   // Hold/wait-time profiling of tracked locks, populated only while ktrace
   // is subscribed to lock events (see sync/lock_event.h).
   lock_timing timing;

@@ -1,6 +1,6 @@
-// stress_refcount: concurrency battery for the refcount policies
-// (kern/refcount.h) — every policy, every path: cmpxchg fast paths, locked
-// fallbacks, lock-steal, striped cross-thread reconciles, and
+// stress_refcount: concurrency battery for the count classes
+// (kern/refcount.h) — every class, every path: cmpxchg fast paths, locked
+// fallbacks, lock-steal, striped cross-thread reconciles, and kobject
 // last-reference destruction races, with a tracing-enabled arm.
 //
 // Unlike stress_core/stress_vm this driver is always built and runs under
@@ -47,11 +47,12 @@ int g_failures = 0;
     }                                                               \
   } while (0)
 
-// Arm 1 — mixed get/put/value storm on a shared count, per policy. Each
-// worker keeps a local balance so the storm never over-releases; the
+// Arm 1 — mixed get/put/value storm on a shared count, per count class.
+// Each worker keeps a local balance so the storm never over-releases; the
 // creation reference must survive untouched.
-void storm(refcount_policy pol, int threads, int iters) {
-  krefcount c(pol, 1);
+template <typename Count>
+void storm(const char* name, int threads, int iters) {
+  Count c(1);
   std::vector<std::unique_ptr<kthread>> ts;
   for (int t = 0; t < threads; ++t) {
     ts.push_back(kthread::spawn("storm" + std::to_string(t), [&, t] {
@@ -80,7 +81,14 @@ void storm(refcount_policy pol, int threads, int iters) {
   }
   for (auto& t : ts) t->join();
   CHECK(c.value() == 1, "storm did not balance");
-  std::printf("storm ok: policy=%s\n", refcount_policy_name(pol));
+  std::printf("storm ok: policy=%s\n", name);
+}
+
+void storm_every_class(int threads, int iters) {
+  storm<locked_refcount>("locked", threads, iters);
+  storm<atomic_refcount>("atomic", threads, iters);
+  storm<lockref_refcount>("lockref", threads, iters);
+  storm<striped_refcount>("striped", threads, iters);
 }
 
 // Arm 2 — lockref lock-steal: a stealer repeatedly holds the embedded
@@ -153,16 +161,16 @@ void cross_thread_release(int threads, int iters) {
 // Arm 4 — last-reference destruction races through kobject: every thread
 // releases one of the object's references at once; exactly one release
 // must destroy, and the live-object count must return to its base.
-void destruction_race(refcount_policy pol, int threads, int rounds) {
+void destruction_race(int threads, int rounds) {
   struct doomed : kobject {
-    doomed(refcount_policy p, std::atomic<int>* d) : kobject("doomed", p), flag(d) {}
+    explicit doomed(std::atomic<int>* d) : kobject("doomed"), flag(d) {}
     ~doomed() override { flag->fetch_add(1); }
     std::atomic<int>* flag;
   };
   std::uint64_t base = kobject::live_objects();
   for (int round = 0; round < rounds; ++round) {
     std::atomic<int> destroyed{0};
-    auto* o = new doomed(pol, &destroyed);
+    auto* o = new doomed(&destroyed);
     for (int t = 1; t < threads; ++t) o->ref_clone();  // one ref per thread
     std::atomic<int> gate{0};
     std::vector<std::unique_ptr<kthread>> ts;
@@ -178,7 +186,7 @@ void destruction_race(refcount_policy pol, int threads, int rounds) {
     CHECK(destroyed.load() == 1, "destruction race: not destroyed exactly once");
   }
   CHECK(kobject::live_objects() == base, "destruction race leaked objects");
-  std::printf("destruction ok: policy=%s rounds=%d\n", refcount_policy_name(pol), rounds);
+  std::printf("destruction ok: rounds=%d\n", rounds);
 }
 
 // Arm 5 — the same traffic with tracing enabled: the emit paths (which
@@ -188,10 +196,8 @@ void traced_storm(int threads, int iters) {
   ktrace::disable();
   ktrace::reset();
   ktrace::enable();
-  for (refcount_policy pol : kRefcountPolicies) {
-    storm(pol, threads, iters);
-    destruction_race(pol, threads, /*rounds=*/4);
-  }
+  storm_every_class(threads, iters);
+  destruction_race(threads, /*rounds=*/16);
   ktrace::disable();
   auto c = ktrace::collect();
   std::size_t destroy_markers = 0;
@@ -201,8 +207,8 @@ void traced_storm(int threads, int iters) {
     prev = e.rec.nanos;
     if (e.rec.kind == trace_kind::ref_release && e.rec.arg2 == 0) ++destroy_markers;
   }
-  // 4 policies x 4 rounds of destruction races (markers may be dropped on
-  // ring wrap; with default rings this traffic fits).
+  // 16 rounds of destruction races (markers may be dropped on ring wrap;
+  // with default rings this traffic fits).
   CHECK(destroy_markers + c.total_dropped() >= 16, "missing destruction markers");
   ktrace::reset();
   std::printf("traced ok: events=%zu dropped=%llu\n", c.events.size(),
@@ -220,10 +226,10 @@ int main() {
   const int iters = env_int("MACHLOCK_STRESS_ITERS", 20000);
   const int rounds = env_int("MACHLOCK_STRESS_ROUNDS", 40);
 
-  for (refcount_policy pol : kRefcountPolicies) storm(pol, threads, iters);
+  storm_every_class(threads, iters);
   lock_steal(threads, iters);
   cross_thread_release(threads, iters);
-  for (refcount_policy pol : kRefcountPolicies) destruction_race(pol, threads, rounds);
+  destruction_race(threads, rounds);
   traced_storm(threads, iters / 10 > 0 ? iters / 10 : 1);
 
   if (g_failures != 0) {

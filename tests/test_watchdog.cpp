@@ -239,7 +239,7 @@ TEST(Watchdog, HealthyContentionDoesNotTrip) {
   for (auto& t : threads) t->join();
   thread_wakeup(&ev);
   std::this_thread::sleep_for(30ms);  // a few poll periods
-  EXPECT_EQ(trips.trips(), 0u);
+  EXPECT_EQ(trips.trips(), 0u) << "last trip report:\n" << watchdog::instance().last_report();
 }
 
 TEST(Watchdog, StartStopIsIdempotentAndRestartable) {
